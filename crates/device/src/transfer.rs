@@ -6,9 +6,17 @@
 //! §4.2, ⑤ in Fig 4). The engine mirrors that interface: submit copy jobs,
 //! reap completions on a channel; a dedicated engine thread performs the
 //! real copy and paces itself with a PCIe latency/bandwidth model.
+//!
+//! The engine is one unit on virtual time ([`gnndrive_sync::vclock`]): a
+//! job starts at `max(engine free, submitted)` and takes `latency + bytes /
+//! bandwidth`, whenever the engine thread actually got round to it, so a
+//! late wake-up costs the modeled link nothing. The thread still sleeps
+//! until a job's deadline when nothing else is queued, or once it runs
+//! `sleep_granularity` ahead of wall time, and otherwise delivers early.
 
 use crate::slab::FeatureSlab;
 use gnndrive_sync::channel::{unbounded, Receiver, Sender};
+use gnndrive_sync::vclock::{self, Server};
 use gnndrive_sync::{LockRank, OrderedMutex};
 use gnndrive_telemetry as telemetry;
 use std::sync::{Arc, OnceLock};
@@ -77,6 +85,10 @@ impl TransferProfile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferDone {
     pub user_data: u64,
+    /// Virtual time from submission until the engine was free to start.
+    pub queue_ns: u64,
+    /// Virtual time the link charged: `latency + bytes / bandwidth`.
+    pub service_ns: u64,
 }
 
 struct Job {
@@ -85,6 +97,7 @@ struct Job {
     slot: u32,
     user_data: u64,
     reply: Sender<TransferDone>,
+    submitted: Instant,
 }
 
 /// The copy engine. One per simulated device.
@@ -98,9 +111,10 @@ impl TransferEngine {
     pub fn new(profile: TransferProfile) -> Arc<Self> {
         let (tx, rx) = unbounded::<Job>();
         let p = profile.clone();
+        let engine = Server::new(Instant::now());
         let worker = std::thread::Builder::new()
             .name(format!("xfer-{}", profile.name))
-            .spawn(move || engine_loop(p, rx))
+            .spawn(move || engine_loop(p, engine, rx))
             .expect("spawn transfer engine");
         Arc::new(TransferEngine {
             tx: Some(tx),
@@ -126,14 +140,19 @@ impl TransferEngine {
         user_data: u64,
         reply: Sender<TransferDone>,
     ) {
+        self.enqueue(Job {
+            data,
+            dst,
+            slot,
+            user_data,
+            reply,
+            submitted: Instant::now(),
+        });
+    }
+
+    fn enqueue(&self, job: Job) {
         if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.send(Job {
-                data,
-                dst,
-                slot,
-                user_data,
-                reply,
-            });
+            let _ = tx.send(job);
         }
     }
 
@@ -146,10 +165,7 @@ impl TransferEngine {
     /// moving anything — the baselines' blocking cudaMemcpy of a whole
     /// mini-batch. The caller sits in I/O wait for the modeled duration.
     pub fn pay_blocking(&self, bytes: u64) {
-        let dur = self.profile.latency
-            + Duration::from_nanos(
-                (bytes as u128 * 1_000_000_000 / self.profile.bandwidth as u128) as u64,
-            );
+        let dur = self.profile.latency + vclock::transfer_time(bytes, self.profile.bandwidth);
         let (ops, total_bytes, service) = transfer_metrics();
         ops.inc();
         total_bytes.add(bytes);
@@ -174,31 +190,23 @@ impl Drop for TransferEngine {
     }
 }
 
-fn engine_loop(profile: TransferProfile, rx: Receiver<Job>) {
+fn engine_loop(profile: TransferProfile, mut engine: Server, rx: Receiver<Job>) {
     let (m_ops, m_bytes, m_service) = transfer_metrics();
-    let mut cursor = Instant::now();
     while let Ok(job) = rx.recv() {
-        let now = Instant::now();
         let bytes = job.data.len() as u64 * 4;
-        let service = profile.latency
-            + Duration::from_nanos(
-                (bytes as u128 * 1_000_000_000 / profile.bandwidth as u128) as u64,
-            );
-        let start = cursor.max(now);
-        let deadline = start + service;
-        cursor = deadline;
+        let service = profile.latency + vclock::transfer_time(bytes, profile.bandwidth);
+        let slot = engine.schedule(job.submitted, Instant::now(), |start| start + service);
         m_ops.inc();
         m_bytes.add(bytes);
         m_service.record(service.as_nanos() as u64);
 
         job.dst.write_row(job.slot, &job.data);
 
-        let ahead = deadline.saturating_duration_since(Instant::now());
-        if ahead > Duration::ZERO && (rx.is_empty() || ahead >= profile.sleep_granularity) {
-            std::thread::sleep(ahead);
-        }
+        vclock::pace(slot.deadline, rx.is_empty(), profile.sleep_granularity);
         let _ = job.reply.send(TransferDone {
             user_data: job.user_data,
+            queue_ns: slot.queue().as_nanos() as u64,
+            service_ns: service.as_nanos() as u64,
         });
     }
 }
@@ -231,6 +239,34 @@ mod tests {
         for i in 0..8u32 {
             slab.read_row(i, &mut out);
             assert!(out.iter().all(|&v| v == i as f32));
+        }
+    }
+
+    /// Jobs queued at one instant are spaced on virtual time by exactly
+    /// `latency + bytes / bandwidth`, however late the engine thread runs.
+    #[test]
+    fn queued_jobs_are_spaced_by_their_modeled_service() {
+        let profile = TransferProfile::pcie3_x16();
+        let engine = TransferEngine::new(profile.clone());
+        let slab = Arc::new(FeatureSlab::new(8, 1024));
+        let (tx, rx) = unbounded();
+        let submitted = Instant::now();
+        for i in 0..8u32 {
+            engine.enqueue(Job {
+                data: vec![0.0; 1024],
+                dst: Arc::clone(&slab),
+                slot: i,
+                user_data: i as u64,
+                reply: tx.clone(),
+                submitted,
+            });
+        }
+        let service = profile.latency + vclock::transfer_time(4096, profile.bandwidth);
+        for i in 0..8u32 {
+            let done = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+            assert_eq!(done.user_data, i as u64, "one engine: FIFO");
+            assert_eq!(done.service_ns, service.as_nanos() as u64);
+            assert_eq!(done.queue_ns, (service * i).as_nanos() as u64);
         }
     }
 

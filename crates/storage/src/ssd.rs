@@ -6,16 +6,28 @@
 //!
 //! * every request pays a per-operation **base latency** (flash read/program
 //!   time + controller overhead),
-//! * all requests share an aggregate **bandwidth** budget enforced by a
-//!   global reservation cursor (the SATA link),
+//! * all requests share an aggregate **bandwidth** budget: the SATA link,
+//!   where each transfer reserves its own interval,
 //! * at most `queue_depth` requests may be queued at the device (NCQ), and
 //!   at most `channels` are in service concurrently (internal parallelism).
 //!
-//! Device workers track a per-channel virtual completion deadline and sleep
-//! whenever they run more than `sleep_granularity` ahead of wall time, so
-//! aggregate throughput and caller blocking times follow the model while
-//! individual sleep syscall overhead stays amortized. Data movement is real:
-//! reads copy bytes out of the image into the request buffer.
+//! Each channel worker schedules on virtual time
+//! ([`gnndrive_sync::vclock`]). A request starts at `max(channel free,
+//! Request.submitted)`, never at the moment the worker picked it up; its
+//! link transfer is reserved from `min(start, now)`; its deadline is
+//! `max(start + base latency, link done)` plus any injected latency.
+//! [`Completion::queue_ns`] and [`Completion::service_ns`] are the virtual
+//! `start − submitted` and `deadline − start`. So a worker that wakes late
+//! costs the device no capacity: the schedule absorbs the lateness, and
+//! `storage.ssd.behind_ns` counts it (the sum over requests of pickup −
+//! virtual start).
+//!
+//! What still takes wall time is delivery. A worker sleeps until the
+//! deadline when nothing else is queued (a lone synchronous caller sees
+//! its full modeled latency) or once it runs `sleep_granularity` ahead of
+//! wall time, and otherwise delivers early, so sleep syscalls stay
+//! amortized. Data movement is real: reads copy bytes out of the image
+//! into the request buffer.
 
 use crate::error::IoError;
 use crate::fault::{mix_unit, FaultInjector, FaultPlan, FaultVerdict, SilentCorruption};
@@ -23,6 +35,7 @@ use crate::integrity::{crc32, IntegrityError, SectorChecksums};
 use crate::stats::IoStats;
 use crate::wcache::{DirtySector, PowerCutReport, WriteCache};
 use gnndrive_sync::channel::{bounded, Sender};
+use gnndrive_sync::vclock::{self, Link, Server};
 use gnndrive_sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedRwLock};
 use gnndrive_telemetry as telemetry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -134,7 +147,7 @@ impl SsdProfile {
 
     /// Bytes the link moves in the time the op limit charges one read:
     /// `bandwidth × read_latency / channels`. A request costs
-    /// `max(start + read_latency, bandwidth cursor)`, so a batch of reads
+    /// `max(start + read_latency, link transfer done)`, so a batch of reads
     /// takes `max(ops × read_latency / channels, bytes / bandwidth)`; while
     /// its bytes stay under `ops × read_op_bytes()` the device is op-bound
     /// and one larger read is cheaper than two small ones. About 2.9 KB on
@@ -189,13 +202,13 @@ pub struct Completion {
     pub result: Result<Vec<u8>, IoError>,
     /// Modeled request latency (submission to completion deadline).
     pub latency: Duration,
-    /// Enqueue→dispatch share of `latency`: how long the request sat in
-    /// the submission queue before a channel picked it up. Together with
-    /// `service_ns` this is the per-completion congestion/service split
-    /// the attribution layer consumes (DESIGN.md §10).
+    /// Queueing share of `latency`, in virtual time: from submission until
+    /// its channel was free to start it (`start − submitted`). Together
+    /// with `service_ns` this is the per-completion congestion/service
+    /// split the attribution layer consumes (DESIGN.md §10).
     pub queue_ns: u64,
-    /// Dispatch→complete share: what the device model charged (base
-    /// latency, bandwidth reservation, injected fault latency).
+    /// Service share (`deadline − start`): what the device model charged
+    /// (base latency, bandwidth reservation, injected fault latency).
     pub service_ns: u64,
 }
 
@@ -299,9 +312,9 @@ struct Shared {
     wcache: OrderedMutex<WriteCache>,
     im: IntegrityCounters,
     stats: IoStats,
-    /// Global bandwidth reservation cursor: the instant the device link is
-    /// next free. Reserving `b` bytes advances it by `b / bandwidth`.
-    bw_cursor: OrderedMutex<Instant>,
+    /// The shared link, on virtual time: reserving `b` bytes holds it for
+    /// `b / bandwidth`.
+    link: OrderedMutex<Link>,
     /// Active fault-injection schedule, consulted by workers per request.
     fault: OrderedRwLock<Option<FaultInjector>>,
     /// Set once [`SimSsd::shutdown`] begins; workers stop servicing and
@@ -442,6 +455,7 @@ pub(crate) enum SubmitOutcome {
 impl SimSsd {
     /// Bring up a device with the given profile.
     pub fn new(profile: SsdProfile) -> Arc<Self> {
+        let created = Instant::now();
         let shared = Arc::new(Shared {
             profile: profile.clone(),
             queue: SubmitQueue::new(profile.queue_depth),
@@ -457,7 +471,7 @@ impl SimSsd {
             wcache: OrderedMutex::new(LockRank::Storage, WriteCache::new()),
             im: IntegrityCounters::new(),
             stats: IoStats::default(),
-            bw_cursor: OrderedMutex::new(LockRank::Storage, Instant::now()),
+            link: OrderedMutex::new(LockRank::Storage, Link::new(profile.bandwidth)),
             fault: OrderedRwLock::new(LockRank::Storage, None),
             closed: AtomicBool::new(false),
         });
@@ -467,7 +481,7 @@ impl SimSsd {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("simssd-{}-{}", profile.name, i))
-                    .spawn(move || channel_worker(sh))
+                    .spawn(move || channel_worker(sh, Server::new(created)))
                     .expect("spawn ssd worker"),
             );
         }
@@ -999,34 +1013,12 @@ impl Drop for SimSsd {
     }
 }
 
-/// Reserve `bytes` on the shared link; returns the instant the transfer
-/// would complete under the bandwidth budget.
-fn reserve_bandwidth(shared: &Shared, bytes: u64) -> Instant {
-    let dur = Duration::from_nanos(
-        (bytes as u128 * 1_000_000_000 / shared.profile.bandwidth as u128) as u64,
-    );
-    let mut cur = shared.bw_cursor.lock();
-    let now = Instant::now();
-    let start = (*cur).max(now);
-    *cur = start + dur;
-    *cur
-}
-
-fn channel_worker(shared: Arc<Shared>) {
-    // The channel's virtual clock: the deadline of the last request it
-    // serviced. It may run ahead of wall time by at most sleep_granularity.
-    let mut cursor = Instant::now();
+fn channel_worker(shared: Arc<Shared>, mut channel: Server) {
     while let Some(req) = shared.queue.next_request() {
         if shared.closed.load(Ordering::Acquire) {
             // Shutdown in progress: fail queued requests fast instead of
             // servicing them.
-            let _ = req.reply.send(Completion {
-                user_data: req.user_data,
-                result: Err(IoError::DeviceClosed),
-                latency: Duration::ZERO,
-                queue_ns: 0,
-                service_ns: 0,
-            });
+            SimSsd::refuse(req);
             continue;
         }
         let now = Instant::now();
@@ -1042,17 +1034,15 @@ fn channel_worker(shared: Arc<Shared>) {
             .as_ref()
             .map(|inj| inj.assess(req.file, req.offset, req.buf.len(), req.op))
             .unwrap_or_default();
-        let start = cursor.max(now);
-        let bw_done = reserve_bandwidth(&shared, req.buf.len() as u64);
-        let deadline = (start + base).max(bw_done) + verdict.extra_latency;
-        cursor = deadline;
-        // Service = what the device model charges this request; queueing =
-        // how long it sat in the submission queue before a channel picked
-        // it up. Completion.latency below is their sum (plus send skew).
-        let service_ns = deadline.saturating_duration_since(start).as_nanos() as u64;
-        let queue_ns = now.saturating_duration_since(req.submitted).as_nanos() as u64;
+        let slot = channel.schedule(req.submitted, now, |start| {
+            let link_done = shared.link.lock().reserve(req.buf.len() as u64, start, now);
+            (start + base).max(link_done) + verdict.extra_latency
+        });
+        let service_ns = slot.service().as_nanos() as u64;
+        let queue_ns = slot.queue().as_nanos() as u64;
         shared.stats.record_op(service_ns, queue_ns);
         shared.stats.record_lane(req.prio, queue_ns);
+        shared.stats.add_behind(slot.behind().as_nanos() as u64);
 
         // Real data movement (unless the injector doomed this request —
         // media errors still pay their modeled latency below).
@@ -1061,14 +1051,11 @@ fn channel_worker(shared: Arc<Shared>) {
             None => do_copy(&shared, &req, &verdict),
         };
 
-        // Sleep off accumulated virtual time beyond the granularity, or
-        // fully when the queue is idle (so a lone synchronous caller sees
-        // its full modeled latency).
-        let ahead = deadline.saturating_duration_since(Instant::now());
-        let idle = shared.queue.is_drained();
-        if ahead > Duration::ZERO && (idle || ahead >= shared.profile.sleep_granularity) {
-            std::thread::sleep(ahead);
-        }
+        vclock::pace(
+            slot.deadline,
+            shared.queue.is_drained(),
+            shared.profile.sleep_granularity,
+        );
 
         match req.op {
             IoOp::Read => shared.stats.add_read(req.buf.len() as u64),
@@ -1077,7 +1064,7 @@ fn channel_worker(shared: Arc<Shared>) {
         let _ = req.reply.send(Completion {
             user_data: req.user_data,
             result,
-            latency: deadline.saturating_duration_since(req.submitted),
+            latency: slot.latency(),
             queue_ns,
             service_ns,
         });
@@ -1316,6 +1303,50 @@ mod tests {
             2896
         );
         assert_eq!(SsdProfile::instant().read_op_bytes(), 0);
+    }
+
+    /// 32 reads submitted at one instant to 16 channels, asserted on the
+    /// virtual times they report, which hold however late the workers run.
+    #[test]
+    fn simultaneous_reads_are_scheduled_on_virtual_time() {
+        let profile = SsdProfile::pm883_repro();
+        let (base, channels) = (profile.read_latency, profile.channels);
+        let ssd = SimSsd::new(profile);
+        let f = ssd.create_file(64 * 512);
+        let (reply, done) = bounded(32);
+        let submitted = Instant::now();
+        for i in 0..32u64 {
+            let req = Request {
+                file: f.id,
+                offset: i * 512,
+                op: IoOp::Read,
+                buf: vec![0u8; 512],
+                user_data: i,
+                reply: reply.clone(),
+                submitted,
+                prio: IoPriority::Bulk,
+            };
+            assert!(matches!(ssd.try_submit(req), SubmitOutcome::Accepted));
+        }
+        // How many reads started k services after submission.
+        let mut waves = [0usize; 32];
+        for _ in 0..32 {
+            let c = done.recv().unwrap();
+            assert_eq!(c.service_ns, base.as_nanos() as u64, "the link never binds");
+            let k = c.queue_ns / base.as_nanos() as u64;
+            assert_eq!(
+                c.queue_ns,
+                k * base.as_nanos() as u64,
+                "starts back to back"
+            );
+            assert_eq!(c.latency, base * (k as u32 + 1));
+            waves[k as usize] += 1;
+        }
+        // Each channel starts its first read at submission and the rest
+        // back to back: at most one read per channel per wave.
+        assert!(waves[0] <= channels, "{waves:?}");
+        assert!(waves.windows(2).all(|w| w[1] <= w[0]), "{waves:?}");
+        assert_eq!(ssd.stats().snapshot().read_ops, 32);
     }
 
     #[test]

@@ -47,6 +47,11 @@ pub struct IoStats {
     m_write_bytes: Counter,
     m_io_wait: Counter,
     m_stalls: Counter,
+    // Fidelity counter: the summed wall time by which channel workers
+    // picked requests up after their virtual start. The virtual-time
+    // schedule absorbs it, so it measures how far the host lagged the
+    // model, not device time.
+    m_behind: Counter,
     m_service: HistogramHandle,
     m_queueing: HistogramHandle,
     // Cumulative enqueue→dispatch vs dispatch→complete split in summed
@@ -81,6 +86,7 @@ impl Default for IoStats {
             m_write_bytes: telemetry::counter("ssd.write_bytes"),
             m_io_wait: telemetry::counter("ssd.io_wait_ns"),
             m_stalls: telemetry::counter("ssd.queue_full_stalls"),
+            m_behind: telemetry::counter("storage.ssd.behind_ns"),
             m_service: telemetry::histogram_ns("ssd.service"),
             m_queueing: telemetry::histogram_ns("ssd.queue_wait"),
             m_queue_wait_ns: telemetry::counter("storage.queue.wait_ns"),
@@ -158,6 +164,11 @@ impl IoStats {
     pub fn add_io_wait(&self, nanos: u64) {
         self.io_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.m_io_wait.add(nanos);
+    }
+
+    /// Record how far behind its virtual start a worker picked a request up.
+    pub fn add_behind(&self, nanos: u64) {
+        self.m_behind.add(nanos);
     }
 
     pub fn add_queue_full_stall(&self) {
@@ -280,10 +291,12 @@ mod tests {
         let s = IoStats::default();
         s.add_read(4096);
         s.add_queue_full_stall();
+        s.add_behind(7_000);
         s.record_op(50_000, 10_000);
         let m = telemetry::snapshot_metrics();
         assert!(m.counter("ssd.read_bytes") >= 4096);
         assert!(m.counter("ssd.queue_full_stalls") >= 1);
+        assert!(m.counter("storage.ssd.behind_ns") >= 7_000);
         assert!(matches!(
             m.get("ssd.service"),
             Some(telemetry::MetricValue::Histogram(h)) if h.count >= 1

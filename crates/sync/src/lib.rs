@@ -32,13 +32,16 @@
 //!
 //! This crate is the only place in the workspace permitted to construct
 //! raw `std::sync` lock primitives; `cargo xtask lint` enforces that. Its
-//! [`channel`] module is the workspace's one MPMC channel.
+//! [`channel`] module is the workspace's one MPMC channel, and its
+//! [`vclock`] module holds the virtual-time scheduling rules every
+//! simulated device shares.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError, TryLockError};
 use std::time::Duration;
 
 pub mod channel;
+pub mod vclock;
 
 pub use std::sync::WaitTimeoutResult;
 

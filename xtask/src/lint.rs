@@ -797,6 +797,15 @@ const KNOWN_STORAGE_CRASH_METRICS: [&str; 3] = [
     "storage.crash.cuts",
     "storage.crash.recoveries",
 ];
+/// The model-fidelity namespaces (DESIGN.md §1): host lateness the
+/// SimSsd's virtual-time schedule absorbed, and the compute model's kernel
+/// accounting with the time real kernels overran their modeled duration.
+const KNOWN_STORAGE_SSD_METRICS: [&str; 1] = ["storage.ssd.behind_ns"];
+const KNOWN_DEVICE_COMPUTE_METRICS: [&str; 3] = [
+    "device.compute.kernels",
+    "device.compute.kernel",
+    "device.compute.overrun_ns",
+];
 /// The serving tier's closed namespace: admission counters, micro-batch
 /// accounting, the SLO violation tally, the latency/queue/service
 /// histograms, and the queue-depth gauge (DESIGN.md §11).
@@ -864,6 +873,19 @@ fn closed_set_violation(name: &str) -> Option<&'static str> {
             "`storage.crash.*` is the closed crash-registry set \
              (DESIGN.md §14); extend KNOWN_STORAGE_CRASH_METRICS in xtask \
              alongside the registry counters",
+        );
+    }
+    if name.starts_with("storage.ssd.") && !KNOWN_STORAGE_SSD_METRICS.contains(&name) {
+        return Some(
+            "`storage.ssd.*` is the closed SimSsd fidelity set (DESIGN.md §1); \
+             extend KNOWN_STORAGE_SSD_METRICS in xtask alongside the stats counters",
+        );
+    }
+    if name.starts_with("device.compute.") && !KNOWN_DEVICE_COMPUTE_METRICS.contains(&name) {
+        return Some(
+            "`device.compute.*` is the closed compute-model set (DESIGN.md §1); \
+             extend KNOWN_DEVICE_COMPUTE_METRICS in xtask alongside ComputeModel's \
+             counters",
         );
     }
     if name.starts_with("serve.") && !KNOWN_SERVE_METRICS.contains(&name) {
@@ -1151,6 +1173,19 @@ mod tests {
                    telemetry::counter(\"storage.crash.recoveries\");\n}\n";
         assert!(rules(src).is_empty());
         let src = "fn f() { telemetry::counter(\"storage.crash.recovered\"); }\n";
+        assert_eq!(rules(src), vec!["metric-name"]);
+    }
+
+    #[test]
+    fn fidelity_namespaces_are_closed_sets() {
+        let src = "fn f() {\n    telemetry::counter(\"storage.ssd.behind_ns\");\n    \
+                   telemetry::counter(\"device.compute.kernels\");\n    \
+                   telemetry::histogram_ns(\"device.compute.kernel\");\n    \
+                   telemetry::counter(\"device.compute.overrun_ns\");\n}\n";
+        assert!(rules(src).is_empty());
+        let src = "fn f() { telemetry::counter(\"storage.ssd.behind\"); }\n";
+        assert_eq!(rules(src), vec!["metric-name"]);
+        let src = "fn f() { telemetry::counter(\"device.compute.overrun\"); }\n";
         assert_eq!(rules(src), vec!["metric-name"]);
     }
 
