@@ -59,10 +59,11 @@ fn main() {
         outcome.serve.slo_violations
     );
     println!(
-        "training: {:.1} batches/s solo -> {:.1} mixed ({:.0}%)",
+        "training: {:.1} batches/s solo -> {:.1} mixed ({:.0}%, {} epochs inside the serving window)",
         outcome.solo_throughput,
         outcome.mixed_throughput,
-        outcome.training_ratio * 100.0
+        outcome.training_ratio * 100.0,
+        outcome.mixed_epochs
     );
     if chaos {
         println!(
