@@ -23,8 +23,9 @@ use std::time::{Duration, Instant};
 /// Knobs of one `serving_mixed` run.
 #[derive(Debug, Clone)]
 pub struct ServingMixedConfig {
-    /// Requests to issue in the measured window (at least; the clean
-    /// variant keeps issuing until a training epoch finished beside them).
+    /// Requests to issue in the measured window, at least: the load runs
+    /// on until a training epoch has finished beside it (clean variant)
+    /// or the storm is over (chaos variant).
     pub requests: usize,
     /// Open-loop arrival rate (req/s); 0 = closed loop.
     pub rate_hz: f64,
