@@ -206,7 +206,7 @@ fn engine_loop(profile: TransferProfile, mut engine: Server, rx: Receiver<Job>) 
         let _ = job.reply.send(TransferDone {
             user_data: job.user_data,
             queue_ns: slot.queue().as_nanos() as u64,
-            service_ns: service.as_nanos() as u64,
+            service_ns: slot.service().as_nanos() as u64,
         });
     }
 }
