@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 /// Knobs of one `serving_mixed` run.
 #[derive(Debug, Clone)]
 pub struct ServingMixedConfig {
-    /// Requests to issue in the measured window, at least: the load runs
-    /// on until a training epoch has finished beside it (clean variant)
-    /// or the storm is over (chaos variant).
+    /// Requests to issue in the measured window. The clean variant runs
+    /// on until a training epoch has finished beside the load (or the
+    /// training thread has ended).
     pub requests: usize,
     /// Open-loop arrival rate (req/s); 0 = closed loop.
     pub rate_hz: f64,
@@ -271,31 +271,27 @@ pub fn run_serving_mixed(
             mixed
         });
 
-        // The load runs on past its request count while there is something
-        // left to observe: on the clean variant until a training epoch has
-        // finished beside it, so the mixed rate has a whole epoch to
-        // measure; on the chaos variant until the storm is over. The storm
-        // covers the middle third of the requests and lasts until the
-        // breaker opens (at most one more request count), so a storm the
-        // serving reads happened to miss cannot pass for one that failed
-        // to trip the breaker.
+        // The clean variant's load runs on past its request count until a
+        // training epoch has finished beside it, so the mixed rate has a
+        // whole epoch to measure, or until the soak thread has ended
+        // without one, which the report then flags. (A fixed cap of twice
+        // the request count ended the clean e2e test's debug build before
+        // its first epoch.) The chaos variant issues exactly its request
+        // count, the storm covering the middle third of it.
+        let requests = if cfg.chaos { cfg.requests } else { usize::MAX };
         let arrivals = LoadGen::new(LoadGenConfig {
             users: cfg.users,
             num_nodes,
             rate_hz: cfg.rate_hz,
-            requests: usize::MAX,
+            requests,
             seed: cfg.seed,
         });
         let storm_at = cfg.requests / 3;
         let clear_at = cfg.requests * 2 / 3;
-        let mut storming = false;
         for (i, a) in arrivals.enumerate() {
-            let observed = if cfg.chaos {
-                !storming
-            } else {
-                finished_epochs.load(Ordering::Acquire) > 0
-            };
-            if i >= cfg.requests && observed {
+            if i >= cfg.requests
+                && (finished_epochs.load(Ordering::Acquire) > 0 || soak.is_finished())
+            {
                 break;
             }
             if cfg.chaos && i == storm_at {
@@ -304,16 +300,21 @@ pub fn run_serving_mixed(
                         .with_read_fault_prob(1.0)
                         .on_file(ds.features_file.id),
                 );
-                storming = true;
             }
-            if storming && i >= clear_at && (saw_open || i >= clear_at + cfg.requests) {
+            if cfg.chaos && i == clear_at {
                 ds.ssd.clear_faults();
-                storming = false;
             }
             if !a.delay.is_zero() {
                 std::thread::sleep(a.delay);
             }
             match server.submit(a.seed_node) {
+                // Under the storm each request is answered before the next
+                // is issued, so each makes a batch of its own and the
+                // server reads under the storm once per storm request,
+                // however far it runs behind the arrivals.
+                Ok(t) if cfg.chaos && (storm_at..clear_at).contains(&i) => {
+                    let _ = t.wait();
+                }
                 Ok(t) => tickets.push(t),
                 Err(_rejected) => {} // counted by the server as rejected
             }
