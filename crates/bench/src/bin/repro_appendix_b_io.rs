@@ -73,43 +73,55 @@ fn run_sync(
 }
 
 /// Async random 512 B reads with one thread at `depth` in-flight requests:
-/// returns (bandwidth MB/s, mean latency µs).
+/// returns (bandwidth MB/s, mean latency µs, mean modeled latency µs). The
+/// latency is wall time from prepare to reap, as in [`run_sync`]; the
+/// modeled one is what the device's virtual clock charged
+/// (`Completion::latency`).
 fn run_async(
     ssd: &Arc<SimSsd>,
     f: gnndrive_storage::FileHandle,
     depth: usize,
     direct: bool,
-) -> (f64, f64) {
+) -> (f64, f64, f64) {
     let stop = Instant::now() + Duration::from_millis(RUN_MS);
     let mut rng = Rng::seed_from_u64(42);
     let mut ring = IoRing::new(Arc::clone(ssd), depth.max(1), direct);
     let sectors = (FILE_MB * 1024 * 1024 / 512) as u64;
-    let (mut ops, mut lat_nanos) = (0u64, 0u64);
+    let (mut ops, mut lat_nanos, mut modeled_nanos) = (0u64, 0u64, 0u64);
     let read_len = if direct { 512 } else { 4096 };
-    let prepare = |ring: &mut IoRing, rng: &mut Rng| {
+    // When each in-flight slot's request was prepared; a slot's index is
+    // its request's user data.
+    let mut prepared = vec![Instant::now(); depth.max(1)];
+    let prepare = |ring: &mut IoRing, rng: &mut Rng, slot: usize| {
         let off = rng.gen_range(0..sectors) * 512;
         let off = if direct { off } else { off / 4096 * 4096 };
         let len = read_len.min((f.len - off) as usize);
-        ring.prepare_read(f, off, len, 0).is_ok()
+        ring.prepare_read(f, off, len, slot as u64).is_ok()
     };
-    for _ in 0..depth {
-        prepare(&mut ring, &mut rng);
+    for (slot, at) in prepared.iter_mut().enumerate() {
+        *at = Instant::now();
+        prepare(&mut ring, &mut rng, slot);
     }
     ring.submit();
     while Instant::now() < stop {
         let Ok(Some(c)) = ring.wait_completion() else {
             break;
         };
+        let slot = c.user_data as usize;
         ops += 1;
-        lat_nanos += c.latency.as_nanos() as u64;
-        prepare(&mut ring, &mut rng);
+        lat_nanos += prepared[slot].elapsed().as_nanos() as u64;
+        modeled_nanos += c.latency.as_nanos() as u64;
+        prepared[slot] = Instant::now();
+        prepare(&mut ring, &mut rng, slot);
         ring.submit();
     }
     ring.drain(|_| {}).expect("drain benchmark ring");
     let secs = RUN_MS as f64 / 1e3;
+    let n = ops.max(1) as f64;
     (
-        ops.max(1) as f64 * 512.0 / 1e6 / secs,
-        lat_nanos as f64 / ops.max(1) as f64 / 1e3,
+        n * 512.0 / 1e6 / secs,
+        lat_nanos as f64 / n / 1e3,
+        modeled_nanos as f64 / n / 1e3,
     )
 }
 
@@ -137,9 +149,13 @@ fn main() {
     );
 
     let mut async_points = Vec::new();
+    let mut modeled_lat_d1 = 0.0;
     for &d in &depths {
-        let (bw_d, lat_d) = run_async(&ssd, f, d, true);
-        let (bw_b, lat_b) = run_async(&ssd, f, d, false);
+        let (bw_d, lat_d, modeled_d) = run_async(&ssd, f, d, true);
+        let (bw_b, lat_b, _) = run_async(&ssd, f, d, false);
+        if d == 1 {
+            modeled_lat_d1 = modeled_d;
+        }
         async_points.push((d as f64, vec![bw_d, bw_b, lat_d, lat_b]));
     }
     print_series(
@@ -176,7 +192,7 @@ fn main() {
     println!("  async depth 32 : {async32:8.1} MB/s (single thread)");
     println!("  async depth 64 : {async64:8.1} MB/s (single thread)");
     println!(
-        "  async depth 1 direct latency: {:.1} us (modeled {} us)",
+        "  async depth 1 direct latency: {:.1} us wall, {modeled_lat_d1:.1} us modeled (model: {} us)",
         async_points[0].1[2],
         profile.read_latency.as_micros()
     );
