@@ -14,7 +14,8 @@
 //! Each channel worker schedules on virtual time
 //! ([`gnndrive_sync::vclock`]). A request starts at `max(channel free,
 //! Request.submitted)`, never at the moment the worker picked it up; its
-//! link transfer is reserved from `min(start, now)`; its deadline is
+//! link transfer is reserved from `min(start, now)` (no earlier than
+//! [`vclock::LINK_HISTORY`] before now); its deadline is
 //! `max(start + base latency, link done)` plus any injected latency.
 //! [`Completion::queue_ns`] and [`Completion::service_ns`] are the virtual
 //! `start − submitted` and `deadline − start`. So a worker that wakes late
@@ -1306,7 +1307,8 @@ mod tests {
     }
 
     /// 32 reads submitted at one instant to 16 channels, asserted on the
-    /// virtual times they report, which hold however late the workers run.
+    /// virtual times they report, which hold however late the workers run
+    /// within the link's history window.
     #[test]
     fn simultaneous_reads_are_scheduled_on_virtual_time() {
         let profile = SsdProfile::pm883_repro();
@@ -1328,10 +1330,22 @@ mod tests {
             };
             assert!(matches!(ssd.try_submit(req), SubmitOutcome::Accepted));
         }
+        let completions: Vec<Completion> = (0..32).map(|_| done.recv().unwrap()).collect();
+        assert_eq!(ssd.stats().snapshot().read_ops, 32);
+        // The link keeps `LINK_HISTORY` of reservations, so a read picked
+        // up later than that after its start is charged the excess. Every
+        // pickup came before the last completion: when the whole run fit
+        // in the window (it takes about two services unless the host
+        // stalls a worker for that long), the schedule is exact.
+        if submitted.elapsed() >= vclock::LINK_HISTORY {
+            for c in &completions {
+                assert!(c.service_ns >= base.as_nanos() as u64);
+            }
+            return;
+        }
         // How many reads started k services after submission.
         let mut waves = [0usize; 32];
-        for _ in 0..32 {
-            let c = done.recv().unwrap();
+        for c in &completions {
             assert_eq!(c.service_ns, base.as_nanos() as u64, "the link never binds");
             let k = c.queue_ns / base.as_nanos() as u64;
             assert_eq!(
@@ -1346,7 +1360,6 @@ mod tests {
         // back to back: at most one read per channel per wave.
         assert!(waves[0] <= channels, "{waves:?}");
         assert!(waves.windows(2).all(|w| w[1] <= w[0]), "{waves:?}");
-        assert_eq!(ssd.stats().snapshot().read_ops, 32);
     }
 
     #[test]

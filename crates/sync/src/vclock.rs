@@ -16,7 +16,8 @@
 //!   the virtual start, so the lateness leaves no hole in the link. Units
 //!   pick their jobs up out of virtual order, so the link keeps its busy
 //!   intervals and places each transfer in the first gap that fits, not
-//!   behind whatever was reserved last;
+//!   behind whatever was reserved last. It keeps [`LINK_HISTORY`] of
+//!   them: a host more than that late is charged the excess;
 //! * **reported times** — queueing is `start − submitted`, service is
 //!   `deadline − start`, and how far the host ran behind is
 //!   `pickup − start` ([`Slot`]);
@@ -106,8 +107,10 @@ impl Server {
 }
 
 /// How far before the wall clock a late job may still reserve the link;
-/// older busy intervals are forgotten.
-const LINK_HISTORY: Duration = Duration::from_millis(10);
+/// older busy intervals are forgotten. A job picked up more than this
+/// after its virtual start reserves from `now − LINK_HISTORY`, so its
+/// service time grows once the lateness exceeds the rest of its service.
+pub const LINK_HISTORY: Duration = Duration::from_millis(10);
 
 /// A link shared by every unit of a device, moving bytes at a fixed rate.
 #[derive(Debug, Clone)]
